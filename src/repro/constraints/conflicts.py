@@ -96,36 +96,7 @@ class ConflictHypergraph:
         cached = getattr(self, "_shape_stats_cache", None)
         if cached is not None:
             return dict(cached)
-        degree: dict = {}
-        parent: dict = {}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for edge in self.edges:
-            members = list(edge)
-            for tid in members:
-                degree[tid] = degree.get(tid, 0) + 1
-                parent.setdefault(tid, tid)
-            root = find(members[0])
-            for tid in members[1:]:
-                parent[find(tid)] = root
-        components: dict = {}
-        for tid in parent:
-            root = find(tid)
-            components[root] = components.get(root, 0) + 1
-        stats = {
-            "nodes": len(self.nodes),
-            "conflicting_nodes": len(degree),
-            "edges": len(self.edges),
-            "max_edge_arity": max((len(e) for e in self.edges), default=0),
-            "max_degree": max(degree.values(), default=0),
-            "components": len(components),
-            "max_component_size": max(components.values(), default=0),
-        }
+        stats = shape_stats_of(len(self.nodes), self.edges)
         # frozen=True blocks plain attribute writes; the cache is not
         # part of the value (equality/hash ignore it), so bypassing the
         # freeze here is sound.
@@ -276,6 +247,45 @@ class ConflictHypergraph:
                 "  conflict-free: " + ", ".join(label(t) for t in isolated)
             )
         return "\n".join(lines)
+
+
+def shape_stats_of(node_count: int, edges: Iterable[FrozenSet[str]]) -> dict:
+    """:meth:`ConflictHypergraph.shape_stats` of *node_count* tuples and
+    the hyperedges *edges*, for callers that maintain the edge set
+    themselves (:class:`~repro.repairs.incremental.ConflictIndex`)."""
+    degree: dict = {}
+    parent: dict = {}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edge_count = max_arity = 0
+    for edge in edges:
+        edge_count += 1
+        max_arity = max(max_arity, len(edge))
+        members = list(edge)
+        for tid in members:
+            degree[tid] = degree.get(tid, 0) + 1
+            parent.setdefault(tid, tid)
+        root = find(members[0])
+        for tid in members[1:]:
+            parent[find(tid)] = root
+    components: dict = {}
+    for tid in parent:
+        root = find(tid)
+        components[root] = components.get(root, 0) + 1
+    return {
+        "nodes": node_count,
+        "conflicting_nodes": len(degree),
+        "edges": edge_count,
+        "max_edge_arity": max_arity,
+        "max_degree": max(degree.values(), default=0),
+        "components": len(components),
+        "max_component_size": max(components.values(), default=0),
+    }
 
 
 def _is_minimal_hitting_set(

@@ -124,6 +124,15 @@ class CircuitBreaker:
             trips=self.trips,
         )
 
+    def would_allow(self) -> bool:
+        """Would :meth:`allows` let a request through now?  A peek: it
+        takes no half-open probe and counts nothing."""
+        with self._lock:
+            state = self.state()
+            return state is BreakerState.CLOSED or (
+                state is BreakerState.HALF_OPEN and not self._probe_inflight
+            )
+
     def allows(self) -> bool:
         """May a request be attempted right now?
 

@@ -69,6 +69,7 @@ from .engines import (
     get_engine,
 )
 from .pool import PoolSaturatedError, WorkerPool
+from .resident import TenantVersion
 from .worker import run_isolated
 
 __all__ = [
@@ -224,11 +225,10 @@ class Dispatcher:
         }
         self._shadow_rng = random.Random(self.policy.shadow_seed)
         self._clock = clock
-        # Conflict shape stats per (db, constraints): telemetry and the
-        # flight recorder consume them every request, and rebuilding the
-        # hypergraph per request is the exact recompute the memoization
-        # satellite of PR 7 removes.  Bounded, insertion-ordered.
-        self._shape_cache: Dict[Tuple, Optional[dict]] = {}
+        # Shape stats of the last unregistered instance, as
+        # ``(db, constraints, stats)``: repeated requests on one
+        # instance (or an equal copy) build its conflict graph once.
+        self._inline: Optional[Tuple[Database, Tuple, dict]] = None
 
     # ------------------------------------------------------------------
 
@@ -239,15 +239,20 @@ class Dispatcher:
         query,
         semantics: str = "s",
         budget: Optional[Budget] = None,
+        tenant: Optional[TenantVersion] = None,
     ) -> DispatchResult:
         """Serve one CQA request through the fallback ladder.
 
         Returns a :class:`DispatchResult`; raises :class:`DispatchError`
         only when every rung (including the salvage rung) is
         inapplicable or failed — never a wrong answer, never a bare
-        backend traceback.
+        backend traceback.  *tenant* is the registered version *db*
+        belongs to: its conflict graph is maintained across versions,
+        and pool workers keep it resident.
         """
-        request = CQARequest(db, tuple(constraints), query, semantics)
+        request = CQARequest(
+            db, tuple(constraints), query, semantics, tenant=tenant
+        )
         budget = resolve_budget(budget)
         if budget is not None:
             budget.start()
@@ -320,37 +325,44 @@ class Dispatcher:
     def _shape_stats(self, request: CQARequest) -> Optional[dict]:
         """Conflict-graph shape stats for the request, when the live
         plane or the flight recorder wants them (None otherwise — the
-        build is not free).
+        graph is not free).
 
-        Memoized per ``(db, constraints)`` on the dispatcher (and again
-        on the hypergraph itself), so a dispatcher serving many requests
-        against one instance builds the graph once, not per request.
-        Runs with any ambient budget masked: an exhausted or tight
-        request budget must not be charged for telemetry, and telemetry
-        must not raise into the serving path.
+        A registered tenant folds its deltas into the graph of the
+        last version asked (:meth:`TenantVersion.shape_stats`); the
+        stats of the last unregistered instance are kept, so repeated
+        requests on one instance, or on an equal copy parsed from the
+        same payload, build its graph once.  Runs with any ambient
+        budget masked: an exhausted or tight request budget must not
+        be charged for telemetry, and telemetry must not raise into
+        the serving path.
         """
         if not live_installed() and not flight_installed():
             return None
-        key = (request.db, request.constraints)
-        if key in self._shape_cache:
-            stats = self._shape_cache[key]
-        else:
-            try:
-                with suspend_budget():
-                    graph = ConflictHypergraph.build(
-                        request.db, request.constraints
-                    )
-                stats = graph.shape_stats()
-            except Exception:  # noqa: BLE001 — non-denial constraints
-                stats = None
-            if len(self._shape_cache) >= 16:
-                self._shape_cache.pop(next(iter(self._shape_cache)))
-            self._shape_cache[key] = stats
+        try:
+            with suspend_budget():
+                if request.tenant is not None:
+                    stats = request.tenant.shape_stats()
+                else:
+                    stats = self._inline_stats(request)
+        except Exception:  # noqa: BLE001 — telemetry only
+            stats = None
         if stats is None:
             return None
         for metric in ("edges", "max_component_size", "max_degree"):
             live_observe(f"dispatch.conflicts.{metric}", stats[metric])
-        return dict(stats)
+        return stats
+
+    def _inline_stats(self, request: CQARequest) -> dict:
+        slot = self._inline
+        if (
+            slot is None
+            or slot[1] != request.constraints
+            or (slot[0] is not request.db and slot[0] != request.db)
+        ):
+            graph = ConflictHypergraph.build(request.db, request.constraints)
+            slot = (request.db, request.constraints, graph.shape_stats())
+            self._inline = slot
+        return dict(slot[2])
 
     def _finish_request(
         self,
@@ -539,6 +551,29 @@ class Dispatcher:
             dict(answer.detail),
         )
 
+    def first_rung(self, request: CQARequest) -> Optional[str]:
+        """The rung the ladder would try first for *request*: the first
+        applicable engine whose breaker lets a request through (a peek
+        that takes no half-open probe), or None."""
+        for name in self.policy.ladder:
+            try:
+                get_engine(name).check(request)
+            except _INAPPLICABLE:
+                continue
+            if self.breakers[name].would_allow():
+                return name
+        return None
+
+    def uses_pool(self, engine_name: str) -> bool:
+        """Does the rung *engine_name* run on the warm worker pool?"""
+        return self._pool is not None and self._isolated(engine_name)
+
+    def _isolated(self, engine_name: str) -> bool:
+        return (
+            engine_name in self.policy.isolate
+            and get_engine(engine_name).isolatable
+        )
+
     def _applicability(
         self, request: CQARequest
     ) -> Dict[str, Optional[str]]:
@@ -595,7 +630,7 @@ class Dispatcher:
     ) -> EngineAnswer:
         engine = get_engine(name)
         with span("dispatch.rung", engine=name):
-            if name in self.policy.isolate and engine.isolatable:
+            if self._isolated(name):
                 watchdog = (
                     slice_s * 1.5 + 1.0
                     if slice_s is not None

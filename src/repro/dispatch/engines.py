@@ -74,12 +74,20 @@ class EngineInapplicableError(ReproError):
 
 @dataclass(frozen=True)
 class CQARequest:
-    """One CQA request: instance, constraints, query, repair semantics."""
+    """One CQA request: instance, constraints, query, repair semantics.
+
+    ``tenant`` is the registered
+    :class:`~repro.dispatch.resident.TenantVersion` whose instance
+    ``db`` is, when there is one: engines ignore it, the dispatcher
+    reads its maintained conflict graph, and the pool ships its deltas
+    to workers.  It never crosses a process boundary.
+    """
 
     db: Database
     constraints: Tuple[IntegrityConstraint, ...]
     query: object
     semantics: str = "s"
+    tenant: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(

@@ -24,7 +24,12 @@ The pool is a *supervisor*, not just a free-list:
   child's ``served``/``rss_kb``, so (c) and (d) need no extra syscalls.
   Replacement spawns happen on a background respawner thread so the
   request that discovered the bad worker is not taxed with the ~300ms
-  spawn.
+  spawn.  (c) and (d) are planned: the worker keeps serving until its
+  replacement is warm and admitted, so recycles never empty the pool.
+* **residency** — a request for a registered tenant
+  (``request.tenant``) ships only the deltas since the version the
+  worker holds (:mod:`repro.dispatch.resident`); a ``resident-miss``
+  reply gets the full instance resent to the same worker.
 * **drain** — graceful shutdown: stop admitting, send each idle worker
   an ``exit`` frame, wait, then hard-kill stragglers.  Every retirement
   funnels through one reap path (kill if alive, close pipe fds,
@@ -53,12 +58,13 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from queue import Empty, Queue
 from typing import Dict, List, Optional
 
 from ..observability import add
 from ..observability.live import emit_event, live_add, live_gauge, live_observe
+from .resident import TenantVersion
 from .worker import (
     WorkerCrashError,
     WorkerError,
@@ -122,6 +128,12 @@ class PoolWorker:
         self.worker_id = next(self._ids)
         self.served = 0
         self.rss_kb = 0
+        #: Tenant name -> version key this worker holds resident.
+        self.resident: Dict[str, tuple] = {}
+        #: A planned replacement is spawning; keep serving meanwhile.
+        self.retiring = False
+        #: The replacement is serving: reap at the next check-in.
+        self.replaced = False
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro.dispatch.worker", "--loop"],
             stdin=subprocess.PIPE,
@@ -245,6 +257,8 @@ class WorkerPool:
         self._recycles = 0
         self._recycle_reasons: Dict[str, int] = {}
         self._respawners: List[threading.Thread] = []
+        self._pending = 0  # spawns under way
+        self._resident = {"hits": 0, "misses": 0, "delta_records": 0}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -270,25 +284,21 @@ class WorkerPool:
         emit_event("pool.spawn", pid=worker.pid, worker_id=worker.worker_id)
         return worker
 
-    def _admit(self, worker: PoolWorker) -> None:
+    def _admit(self, worker: PoolWorker) -> bool:
         with self._lock:
             if self._draining:
                 worker.reap()
-                return
+                return False
             self._workers.append(worker)
         self._idle.put(worker)
+        return True
 
-    def _retire(self, worker: PoolWorker, reason: str) -> None:
-        """Take a worker out of service permanently and backfill it."""
+    def _count_recycle(self, worker: PoolWorker, reason: str) -> None:
         with self._lock:
-            if worker in self._workers:
-                self._workers.remove(worker)
             self._recycles += 1
             self._recycle_reasons[reason] = (
                 self._recycle_reasons.get(reason, 0) + 1
             )
-            draining = self._draining
-        worker.reap()
         add("pool.recycles")
         live_add("pool.recycles")
         live_add(f"pool.recycles.{reason}")
@@ -300,24 +310,72 @@ class WorkerPool:
             served=worker.served,
             rss_kb=worker.rss_kb,
         )
-        if not draining:
-            self._respawn_async()
+
+    def _retire(self, worker: PoolWorker, reason: str) -> None:
+        """Take a broken worker out of service now and backfill it,
+        unless its planned replacement is already spawning."""
+        with self._lock:
+            if worker in self._workers:
+                self._workers.remove(worker)
+            planned = worker.retiring
+            draining = self._draining
+        worker.reap()
+        if not planned:  # else counted once, and its replacement backfills
+            self._count_recycle(worker, reason)
+            if not draining:
+                self._respawn_async()
         self._publish_gauges()
 
-    def _respawn_async(self) -> None:
-        """Backfill a retired worker off the request path."""
+    def _replace(self, worker: PoolWorker, reason: str) -> None:
+        """Planned retirement of a healthy worker: it keeps serving
+        until its warm replacement is admitted, so a recycle never
+        empties the pool (two workers handed jobs in turn reach
+        ``max_requests`` one job apart)."""
+        self._count_recycle(worker, reason)
+        self._respawn_async(replacing=worker)
+
+    def _drop_replaced(self, worker: PoolWorker) -> None:
+        """The replacement of *worker* is serving: take it out of the
+        pool, reaping it now if idle, else at its check-in."""
+        with self._lock:
+            if worker in self._workers:
+                self._workers.remove(worker)
+        worker.replaced = True
+        with self._idle.mutex:  # atomic: the idle set never looks empty
+            try:
+                self._idle.queue.remove(worker)
+            except ValueError:
+                return  # busy
+        worker.reap()
+
+    def _respawn_async(self, replacing: Optional[PoolWorker] = None) -> None:
+        """Spawn a worker off the request path: a backfill, or the
+        replacement of *replacing*."""
 
         def _spawn() -> None:
             try:
-                self._admit(self._spawn_warm())
+                fresh = self._spawn_warm()
             except WorkerError:
                 live_add("pool.spawn_failures")
+                if replacing is not None:
+                    with self._lock:
+                        gone = replacing not in self._workers
+                        replacing.retiring = False  # retried at a check-in
+                        backfill = gone and not self._draining
+                    if backfill:  # it left the pool while this spawned
+                        self._respawn_async()
+            else:
+                if self._admit(fresh) and replacing is not None:
+                    self._drop_replaced(replacing)
+            with self._lock:
+                self._pending -= 1
             self._publish_gauges()
 
         thread = threading.Thread(
             target=_spawn, name="pool-respawn", daemon=True
         )
         with self._lock:
+            self._pending += 1
             self._respawners = [
                 t for t in self._respawners if t.is_alive()
             ]
@@ -332,6 +390,7 @@ class WorkerPool:
             with self._lock:
                 full = (
                     not self._draining
+                    and not self._pending
                     and len(self._workers) >= self.config.size
                 )
             if full and self._idle.qsize() >= self.config.size:
@@ -410,19 +469,16 @@ class WorkerPool:
         up within ``grab_timeout_s``.  No ``MIN_WATCHDOG_S`` floor:
         warm workers have already paid start-up, so the caller's
         deadline is taken literally.
+
+        For a registered tenant (``request.tenant``) the job ships
+        only the deltas since the version the worker holds; a
+        ``resident-miss`` reply is answered by resending the full
+        instance to the same worker.
         """
         with self._lock:
             if self._draining:
                 raise PoolSaturatedError("worker pool is draining")
-        try:
-            worker = self._idle.get(timeout=self.config.grab_timeout_s)
-        except Empty:
-            add("pool.saturated")
-            live_add("pool.saturated")
-            raise PoolSaturatedError(
-                f"no idle worker within {self.config.grab_timeout_s:.2f}s "
-                f"(pool size {self.config.size})"
-            )
+        worker = self._checkout()
         self._publish_gauges()
         job = build_job(
             engine_name,
@@ -432,12 +488,18 @@ class WorkerPool:
             crash_code=crash_code,
             pad_rss_kb=pad_rss_kb,
         )
+        tenant = getattr(request, "tenant", None)
         add("dispatch.worker_runs")
         add("pool.dispatches")
         live_add("pool.dispatches")
         started = time.monotonic()
         try:
-            result = worker.call(job, watchdog_s)
+            placed = self._place(worker, job, tenant)
+            result = worker.call(placed, watchdog_s)
+            if result.get("kind") == "resident-miss":
+                worker.resident.pop(tenant.name, None)
+                placed = self._place(worker, job, tenant)
+                result = worker.call(placed, watchdog_s)
         except WorkerTimeoutError:
             add("dispatch.worker_kills")
             add(f"dispatch.worker_kills.{engine_name}")
@@ -449,26 +511,102 @@ class WorkerPool:
         except WorkerCrashError:
             self._retire(worker, "crash")
             raise
+        if tenant is not None:
+            self._note_resident(worker, tenant.name, placed, result)
         live_observe(
             "pool.dispatch_ms", (time.monotonic() - started) * 1000.0
         )
         self._check_in(worker)
         return unmarshal_answer(result)
 
+    @staticmethod
+    def _place(
+        worker: PoolWorker,
+        job: Dict[str, object],
+        tenant: Optional[TenantVersion],
+    ) -> Dict[str, object]:
+        """The job as sent to *worker*: the deltas since the version it
+        holds, or the full instance when that is smaller or unknown."""
+        if tenant is None:
+            return job
+        spec: Dict[str, object] = {
+            "tenant": tenant.name,
+            "key": tenant.key,
+            "base": None,
+        }
+        held = worker.resident.get(tenant.name)
+        deltas = tenant.deltas_since(held) if held is not None else None
+        if deltas is not None and sum(map(len, deltas)) < len(tenant.db):
+            spec["base"] = held
+            spec["deltas"] = [delta.wire() for delta in deltas]
+            return dict(
+                job, request=replace(job["request"], db=None), resident=spec
+            )
+        return dict(job, resident=spec)
+
+    def _note_resident(
+        self,
+        worker: PoolWorker,
+        name: str,
+        placed: Dict[str, object],
+        result: Dict[str, object],
+    ) -> None:
+        """Track what *worker* now holds, and count the hit or miss."""
+        for evicted in result.get("evicted") or ():
+            worker.resident.pop(evicted, None)
+        if result.get("resident") is not None:
+            worker.resident[name] = tuple(result["resident"])
+        else:
+            worker.resident.pop(name, None)
+        spec = placed["resident"]
+        shipped = len(spec.get("deltas") or ())
+        hit = spec["base"] is not None
+        with self._lock:
+            self._resident["hits" if hit else "misses"] += 1
+            self._resident["delta_records"] += shipped
+        live_add("pool.resident_hits" if hit else "pool.resident_misses")
+        if shipped:
+            live_add("pool.delta_records", shipped)
+
+    def _checkout(self) -> PoolWorker:
+        while True:
+            try:
+                worker = self._idle.get(timeout=self.config.grab_timeout_s)
+            except Empty:
+                add("pool.saturated")
+                live_add("pool.saturated")
+                raise PoolSaturatedError(
+                    f"no idle worker within "
+                    f"{self.config.grab_timeout_s:.2f}s "
+                    f"(pool size {self.config.size})"
+                )
+            if not worker.replaced:
+                return worker
+            worker.reap()  # checked in as its replacement took over
+
     def _check_in(self, worker: PoolWorker) -> None:
-        """Return a healthy worker to the idle set — unless the
-        recycling policy says it has done enough."""
-        cfg = self.config
-        if cfg.max_requests is not None and worker.served >= cfg.max_requests:
-            self._retire(worker, "max-requests")
-            return
-        if cfg.max_rss_kb is not None and worker.rss_kb > cfg.max_rss_kb:
-            self._retire(worker, "rss")
+        """Return a healthy worker to the idle set.  When the recycling
+        policy says it has done enough, its replacement starts spawning
+        and it keeps serving until that one is warm."""
+        if worker.replaced:
+            worker.reap()
             return
         if worker.proc.poll() is not None:
             self._retire(worker, "crash")
             return
+        cfg = self.config
+        reason = None
+        if worker.retiring:
+            pass  # its replacement is already spawning
+        elif cfg.max_requests is not None and worker.served >= cfg.max_requests:
+            reason = "max-requests"
+        elif cfg.max_rss_kb is not None and worker.rss_kb > cfg.max_rss_kb:
+            reason = "rss"
+        if reason is not None:
+            worker.retiring = True  # before another thread can check it out
         self._idle.put(worker)
+        if reason is not None:
+            self._replace(worker, reason)
         self._publish_gauges()
 
     # -- health & introspection ---------------------------------------
@@ -518,4 +656,5 @@ class WorkerPool:
                 "recycle_reasons": dict(self._recycle_reasons),
                 "draining": self._draining,
                 "pids": [w.pid for w in self._workers],
+                "resident": dict(self._resident),
             }

@@ -30,7 +30,11 @@ Two execution modes share one job/result schema:
   engine imports are paid once at spawn, then each request is one
   frame round-trip.  ``ping`` frames double as the supervisor's
   heartbeat and carry the child's RSS and served-request count, which
-  drive the pool's recycling policy.
+  drive the pool's recycling policy.  A job may carry a ``resident``
+  spec: the worker then keeps the tenant's instance and a warm SQLite
+  copy across jobs and applies shipped deltas to them
+  (:mod:`repro.dispatch.resident`), or answers ``resident-miss`` when
+  it does not hold the version the deltas build on.
 
 The parent's **request id** crosses the boundary: the job carries the
 ambient :func:`~repro.observability.live.current_request_id`, the child
@@ -57,6 +61,7 @@ import pickle
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from ..errors import (
@@ -75,7 +80,9 @@ from ..observability.live import (
     request_scope,
     uninstall_live,
 )
+from ..relational import sqlbridge
 from ..runtime import Budget, use_budget
+from .resident import ResidentSet
 
 __all__ = [
     "WorkerError",
@@ -216,11 +223,15 @@ def _rss_kb() -> int:
         return 0
 
 
-def _execute_job(job: Dict[str, object]) -> Dict[str, object]:
+def _execute_job(
+    job: Dict[str, object], residents: ResidentSet
+) -> Dict[str, object]:
     """Run one engine job; returns the marshalled result record.
 
     Shared by the one-shot and loop modes, so both speak exactly the
-    same job/result schema.
+    same job/result schema.  *residents* holds the tenant versions kept
+    across jobs: the loop's own set, a fresh one in one-shot mode (so a
+    delta job there is always a ``resident-miss``).
     """
     wedge_s = job.get("wedge_s")
     if wedge_s:  # test hook: simulate a non-cooperative hang
@@ -234,10 +245,28 @@ def _execute_job(job: Dict[str, object]) -> Dict[str, object]:
         # b"x" * n writes every byte, so the pages are dirty and
         # resident — a zeroed bytearray would stay copy-on-write blank.
         _BALLAST.append(b"x" * (int(pad_kb) * 1024))
+    request = job.get("request")
+    resident = job.get("resident")
+    entry = None
+    if resident is not None:
+        try:
+            request, entry, evicted = residents.install(resident, request)
+        except Exception as exc:  # noqa: BLE001 — a miss, never a crash
+            return {
+                "ok": False,
+                "kind": "resident-miss",
+                "type": type(exc).__name__,
+                "message": str(exc),
+            }
     request_id = job.get("request_id")
     scope = (
         request_scope(request_id)
         if request_id
+        else contextlib.nullcontext()
+    )
+    bound = (
+        sqlbridge.bound_connection(entry.db, entry.connection)
+        if entry is not None
         else contextlib.nullcontext()
     )
     # When the parent is observing (live plane or flight recorder), the
@@ -253,8 +282,8 @@ def _execute_job(job: Dict[str, object]) -> Dict[str, object]:
         engine = get_engine(job["engine"])
         timeout = job.get("budget_timeout")
         budget = Budget(timeout=timeout) if timeout else None
-        with scope, use_budget(budget):
-            answer = engine.run(job["request"])
+        with scope, use_budget(budget), bound:
+            answer = engine.run(request)
         result: Dict[str, object] = {
             "ok": True,
             "answers": answer.answers,
@@ -263,6 +292,9 @@ def _execute_job(job: Dict[str, object]) -> Dict[str, object]:
         }
     except BaseException as exc:
         result = _marshal_error(exc)
+    if entry is not None:
+        result["resident"] = entry.key
+        result["evicted"] = evicted
     if plane is not None:
         uninstall_live()
         result["events"] = [
@@ -295,7 +327,7 @@ def child_main(stdin=None, stdout=None) -> int:
         )
         stdout.flush()
         return 0
-    pickle.dump(_execute_job(job), stdout)
+    pickle.dump(_execute_job(job, ResidentSet()), stdout)
     stdout.flush()
     return 0
 
@@ -323,6 +355,7 @@ def serve_loop(stdin=None, stdout=None) -> int:
     from . import engines  # noqa: F401
 
     served = 0
+    residents = ResidentSet()
     while True:
         try:
             frame = read_frame(stdin)
@@ -355,7 +388,7 @@ def serve_loop(stdin=None, stdout=None) -> int:
                 "rss_kb": _rss_kb(),
             }))
             continue
-        result = _execute_job(job)
+        result = _execute_job(job, residents)
         served += 1
         result["served"] = served
         result["rss_kb"] = _rss_kb()
@@ -454,6 +487,8 @@ def build_job(
     at *build* time, so a job queued briefly still correlates with the
     request that created it.
     """
+    if getattr(request, "tenant", None) is not None:  # process-local
+        request = replace(request, tenant=None)
     return {
         "engine": engine_name,
         "request": request,

@@ -11,7 +11,18 @@ repair can be compared tuple-by-tuple with the original.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import SchemaError
 from .nulls import is_null
@@ -19,6 +30,8 @@ from .schema import Schema, positional_schema
 
 Value = object
 Row = Tuple[Value, ...]
+
+_NO_ROWS: Dict[Row, str] = {}
 
 
 @dataclass(frozen=True)
@@ -74,16 +87,12 @@ class Database:
         self._facts: Dict[str, Fact] = dict(facts_by_tid)
         self._tid_of: Dict[Fact, str] = {}
         self._by_relation: Dict[str, Dict[Row, str]] = {}
+        arities = {
+            name: schema.relation(name).arity for name in schema.names()
+        }
         for tid, f in self._facts.items():
-            if f.relation not in schema:
-                raise SchemaError(
-                    f"fact {f} uses relation absent from the schema"
-                )
-            if schema.relation(f.relation).arity != len(f.values):
-                raise SchemaError(
-                    f"fact {f} has arity {len(f.values)}, schema says "
-                    f"{schema.relation(f.relation).arity}"
-                )
+            if arities.get(f.relation) != len(f.values):
+                _check_fact(schema, f)  # raises the precise SchemaError
             if f in self._tid_of:
                 raise SchemaError(f"duplicate fact {f} (tids {tid} and "
                                   f"{self._tid_of[f]})")
@@ -190,6 +199,22 @@ class Database:
         """The fact carrying *tid* (KeyError if absent)."""
         return self._facts[tid]
 
+    @property
+    def next_tid(self) -> int:
+        """The counter value the next inserted fact's tid ``t<n>`` takes."""
+        return self._next_tid
+
+    def facts_since(self, first: int) -> List[Tuple[str, Fact]]:
+        """``(tid, fact)`` of the present facts inserted with counter
+        values from *first* on (compare :attr:`next_tid` before and
+        after an update to read off what it inserted)."""
+        out = []
+        for counter in range(first, self._next_tid):
+            tid = f"t{counter}"
+            if tid in self._facts:
+                out.append((tid, self._facts[tid]))
+        return out
+
     def tid_of(self, f: Fact) -> str:
         """The tid of fact *f* (KeyError if absent)."""
         return self._tid_of[f]
@@ -205,9 +230,17 @@ class Database:
 
     def relation(self, name: str) -> Tuple[Row, ...]:
         """All rows of relation *name*, in deterministic (sorted) order."""
+        return tuple(sorted(self.relation_index(name), key=_sort_key))
+
+    def relation_index(self, name: str) -> Mapping[Row, str]:
+        """Relation *name* as an unsorted ``row -> tid`` mapping.
+
+        A read-only view of the instance's own index: no copy and no
+        sort, for bulk consumers (SQLite materialization, conflict
+        maintenance) to whom row order does not matter.
+        """
         self._schema.relation(name)  # validate the name
-        rows = self._by_relation.get(name, {})
-        return tuple(sorted(rows, key=_sort_key))
+        return MappingProxyType(self._by_relation.get(name, _NO_ROWS))
 
     def relation_facts(self, name: str) -> Tuple[Fact, ...]:
         """All facts of relation *name*, in deterministic order."""
@@ -244,32 +277,67 @@ class Database:
 
     def delete(self, facts: Iterable[Fact]) -> "Database":
         """A new instance without *facts* (absent facts are ignored)."""
-        to_drop = {self._tid_of[f] for f in facts if f in self._tid_of}
-        remaining = {
-            tid: f for tid, f in self._facts.items() if tid not in to_drop
-        }
-        return Database(self._schema, remaining, self._next_tid)
+        return self.apply_delta(delete=facts)
 
     def delete_tids(self, tids: Iterable[str]) -> "Database":
         """A new instance without the facts carrying *tids*."""
-        drop = set(tids)
-        remaining = {
-            tid: f for tid, f in self._facts.items() if tid not in drop
-        }
-        return Database(self._schema, remaining, self._next_tid)
+        facts = self._facts
+        return self.apply_delta(
+            delete=[facts[tid] for tid in set(tids) if tid in facts]
+        )
 
     def insert(self, facts: Iterable[Fact]) -> "Database":
         """A new instance with *facts* added (fresh tids; dups ignored)."""
-        combined = dict(self._facts)
-        present = set(self._tid_of)
-        counter = self._next_tid
-        for f in facts:
-            if f in present:
+        return self.apply_delta(insert=facts)
+
+    def apply_delta(
+        self,
+        delete: Iterable[Fact] = (),
+        insert: Iterable[Fact] = (),
+    ) -> "Database":
+        """``self.delete(delete).insert(insert)`` in O(|delta|).
+
+        The three indexes are copied (C-speed dict copies, no per-fact
+        Python work) and only the changed facts are validated and
+        patched, so untouched facts keep their tids and inserted facts
+        get exactly the tids the two-step form would assign: deletes
+        apply first, then each new fact takes the next counter value.
+        """
+        out = Database.__new__(Database)
+        out._schema = self._schema
+        out._facts = facts = dict(self._facts)
+        out._tid_of = tid_of = dict(self._tid_of)
+        out._by_relation = by_relation = dict(self._by_relation)
+        copied = set()
+
+        def rows_of(relation: str) -> Dict[Row, str]:
+            if relation not in copied:
+                copied.add(relation)
+                by_relation[relation] = dict(by_relation.get(relation, ()))
+            return by_relation[relation]
+
+        for f in delete:
+            tid = tid_of.pop(f, None)
+            if tid is None:
                 continue
-            present.add(f)
-            combined[f"t{counter}"] = f
+            del facts[tid]
+            rows = rows_of(f.relation)
+            del rows[f.values]
+            if not rows:
+                del by_relation[f.relation]
+                copied.discard(f.relation)
+        counter = self._next_tid
+        for f in insert:
+            if f in tid_of:
+                continue
+            _check_fact(self._schema, f)
+            tid = f"t{counter}"
             counter += 1
-        return Database(self._schema, combined, counter)
+            facts[tid] = f
+            tid_of[f] = tid
+            rows_of(f.relation)[f.values] = tid
+        out._next_tid = counter
+        return out
 
     def update_value(self, tid: str, position: int, value: Value) -> "Database":
         """A new instance where the fact at *tid* has one value replaced.
@@ -328,6 +396,17 @@ class Database:
             if not rows:
                 lines.append("  (empty)")
         return "\n".join(lines)
+
+
+def _check_fact(schema: Schema, f: Fact) -> None:
+    """Raise :class:`SchemaError` unless *f* fits *schema*."""
+    if f.relation not in schema:
+        raise SchemaError(f"fact {f} uses relation absent from the schema")
+    if schema.relation(f.relation).arity != len(f.values):
+        raise SchemaError(
+            f"fact {f} has arity {len(f.values)}, schema says "
+            f"{schema.relation(f.relation).arity}"
+        )
 
 
 def _sort_key(row: Row) -> Tuple:

@@ -11,12 +11,14 @@ Python tuples.  NULL markers map to SQL NULL, so SQLite enforces the same
 from __future__ import annotations
 
 import sqlite3
-from typing import Iterable, List, Tuple
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..observability import add, span
 from ..runtime.faults import sqlite_attempt
 from ..runtime.retry import retry_transient
-from .database import Database, Row
+from .database import Database, Fact, Row
 from .nulls import NULL, is_labeled_null, is_null
 
 
@@ -25,12 +27,21 @@ def _quote_identifier(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
-def to_sqlite(db: Database) -> sqlite3.Connection:
+def to_sqlite(
+    db: Database, rowids: Optional[Dict[str, int]] = None
+) -> sqlite3.Connection:
     """Materialize *db* into a fresh in-memory SQLite connection.
 
     Every relation becomes a table with the schema's attribute names.
     NULL markers become SQL NULLs; labeled nulls are rejected because
-    SQLite cannot reproduce their naive-table join semantics.
+    SQLite cannot reproduce their naive-table join semantics.  Rows go
+    in in index order, unsorted: :func:`run_sql` sorts what it reads
+    back, so table order cannot show in any answer.
+
+    When *rowids* is given, each fact's row gets an explicit rowid and
+    the dict is filled with ``tid -> rowid``, so a resident copy can
+    later delete single facts by rowid instead of scanning the table
+    (:func:`apply_sqlite_delta`).
     """
     conn = sqlite3.connect(":memory:")
     cursor = conn.cursor()
@@ -39,28 +50,87 @@ def to_sqlite(db: Database) -> sqlite3.Connection:
         rel = db.schema.relation(name)
         columns = ", ".join(_quote_identifier(a) for a in rel.attributes)
         cursor.execute(f"CREATE TABLE {_quote_identifier(name)} ({columns})")
-        rows = db.relation(name)
-        if not rows:
+        index = db.relation_index(name)
+        if not index:
             continue
-        placeholders = ", ".join("?" * rel.arity)
-        prepared = []
-        for row in rows:
-            converted = []
-            for value in row:
-                if is_labeled_null(value):
-                    raise ValueError(
-                        "labeled nulls cannot be materialized into SQLite"
-                    )
-                converted.append(None if is_null(value) else value)
-            prepared.append(tuple(converted))
+        if rowids is None:
+            prepared = [_sql_values(row) for row in index]
+            placeholders = ", ".join("?" * rel.arity)
+        else:
+            prepared = []
+            for row, tid in index.items():
+                rowid = rowids[tid] = len(rowids) + 1
+                prepared.append((rowid,) + _sql_values(row))
+            placeholders = ", ".join("?" * (rel.arity + 1))
+            columns = "rowid, " + columns
         cursor.executemany(
-            f"INSERT INTO {_quote_identifier(name)} VALUES ({placeholders})",
+            f"INSERT INTO {_quote_identifier(name)} ({columns}) "
+            f"VALUES ({placeholders})",
             prepared,
         )
         materialized += len(prepared)
     conn.commit()
     add("sql.rows_materialized", materialized)
     return conn
+
+
+def _sql_values(row: Row) -> Tuple:
+    for value in row:
+        if is_labeled_null(value):
+            raise ValueError(
+                "labeled nulls cannot be materialized into SQLite"
+            )
+    return tuple(None if is_null(value) else value for value in row)
+
+
+def apply_sqlite_delta(
+    conn: sqlite3.Connection,
+    rowids: Dict[str, int],
+    changes: Iterable[
+        Tuple[Iterable[Tuple[str, Fact]], Iterable[Tuple[str, Fact]]]
+    ],
+) -> None:
+    """Patch a :func:`to_sqlite` copy made with *rowids*, in one
+    transaction, by *changes*: per delta, ``(tid, fact)`` pairs out,
+    then in.  Each change is one rowid-keyed statement, never a table
+    scan; a new row takes SQLite's next rowid.  On any error the
+    transaction rolls back and the error propagates (*rowids* may then
+    be stale: the caller drops the copy)."""
+    with conn:
+        for deleted, inserted in changes:
+            for tid, f in deleted:
+                conn.execute(
+                    f"DELETE FROM {_quote_identifier(f.relation)} "
+                    "WHERE rowid = ?",
+                    (rowids.pop(tid),),
+                )
+            for tid, f in inserted:
+                placeholders = ", ".join("?" * len(f.values))
+                cursor = conn.execute(
+                    f"INSERT INTO {_quote_identifier(f.relation)} "
+                    f"VALUES ({placeholders})",
+                    _sql_values(f.values),
+                )
+                rowids[tid] = cursor.lastrowid
+
+
+@contextmanager
+def bound_connection(
+    db: Database, connect: Callable[[], sqlite3.Connection]
+):
+    """Within the block, :func:`run_sql` on *db* (that very object)
+    runs on the connection ``connect()`` returns instead of
+    materializing a fresh copy; *connect* is called on first use."""
+    token = _BOUND.set((db, connect))
+    try:
+        yield
+    finally:
+        _BOUND.reset(token)
+
+
+_BOUND: ContextVar[
+    Optional[Tuple[Database, Callable[[], sqlite3.Connection]]]
+] = ContextVar("repro_bound_sqlite", default=None)
 
 
 def run_sql(db: Database, sql: str) -> List[Row]:
@@ -74,11 +144,16 @@ def run_sql(db: Database, sql: str) -> List[Row]:
     fault harness's injected :class:`~repro.errors.TransientBackendError`)
     are retried with exponential backoff; each attempt rebuilds the
     in-memory materialization from scratch, so a retried statement never
-    observes half-written state.
+    observes half-written state.  Inside :func:`bound_connection` for
+    *db* the statement runs on the bound, already materialized copy
+    (read-only, so retrying on it is safe too).
     """
+    bound = _BOUND.get()
     with span("sql.run"):
         def attempt() -> List[Tuple]:
             sqlite_attempt()
+            if bound is not None and bound[0] is db:
+                return bound[1]().execute(sql).fetchall()
             conn = to_sqlite(db)
             try:
                 return conn.execute(sql).fetchall()

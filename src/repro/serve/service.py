@@ -1,10 +1,12 @@
 """The CQA service: named databases, handlers, and the degrade path.
 
 One :class:`CQAService` owns everything the HTTP layer needs but HTTP
-knows nothing about: a registry of named ``(Database, constraints)``
-instances, one shared :class:`~repro.dispatch.Dispatcher` (breaker
-state and shape caches live across requests) over an optional warm
-:class:`~repro.dispatch.WorkerPool`, and the
+knows nothing about: a registry of named tenants, each at its current
+:class:`~repro.dispatch.resident.TenantVersion` (moved forward by
+deltas, kept resident in pool workers), one shared
+:class:`~repro.dispatch.Dispatcher` (breaker state lives across
+requests) over an optional warm :class:`~repro.dispatch.WorkerPool`,
+and the
 :class:`~repro.serve.admission.AdmissionController` front door.
 
 Handlers take a parsed JSON payload and return ``(status, body,
@@ -12,10 +14,11 @@ headers)`` — plain data, callable from the asyncio server's executor
 threads, from tests, or from a future transport.  All are thread-safe.
 
 The soundness contract under overload mirrors the ladder's: when the
-worker pool reports no idle capacity, the CQA path does not queue
-behind it — it answers immediately from the anytime **certain-core
-bracket** (a sound under-approximation marked ``complete: false``), or
-sheds if even that is inapplicable.  A served answer is therefore
+worker pool reports no idle capacity and the request's first usable
+rung runs on it, the CQA path does not queue behind it — it answers
+immediately from the anytime **certain-core bracket** (a sound
+under-approximation marked ``complete: false``), or sheds if even that
+is inapplicable.  A served answer is therefore
 always either exact or an explicitly-marked subset; pressure changes
 latency and completeness, never correctness.
 
@@ -54,6 +57,7 @@ while in-flight and straggler requests still complete).
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -66,6 +70,7 @@ from ..dispatch import (
     get_engine,
 )
 from ..dispatch.pool import WorkerPool
+from ..dispatch.resident import TenantVersion, derive
 from ..errors import ReproError
 from ..logic.parser import parse_query
 from ..measures.inconsistency import InconsistencyReport
@@ -114,6 +119,21 @@ def _serialize_repair(repair) -> Dict[str, List[List[object]]]:
     }
 
 
+def _versions_of(
+    specs: Dict[str, Dict[str, object]], key: Tuple[int, int]
+) -> Dict[str, TenantVersion]:
+    """Fresh tenant versions, all under *key*, from stored specs."""
+    return {
+        name: TenantVersion(
+            name,
+            _parse_database(spec),
+            _parse_constraints(spec.get("constraints")),
+            key,
+        )
+        for name, spec in specs.items()
+    }
+
+
 class CQAService:
     """Handlers over named databases; see the module docstring."""
 
@@ -131,7 +151,10 @@ class CQAService:
         self.store = store
         self._clock = clock
         self._lock = threading.Lock()
-        self._databases: Dict[str, Tuple[Database, tuple]] = {}
+        #: Registered tenants, each at its current version.
+        self._databases: Dict[str, TenantVersion] = {}
+        # Version keys when there is no store: (0, n).
+        self._counter = itertools.count(1)
         # With a store attached nothing may be served until recover()
         # re-establishes the registry from disk; without one there is
         # nothing to recover and the service is born ready.
@@ -171,12 +194,9 @@ class CQAService:
             self._phase = "ready"
             return {"phase": self._phase, "databases": 0}
         recovered = self.store.recover()
-        databases: Dict[str, Tuple[Database, tuple]] = {}
-        for name, spec in recovered.specs.items():
-            databases[name] = (
-                _parse_database(spec),
-                tuple(_parse_constraints(spec.get("constraints"))),
-            )
+        databases = _versions_of(
+            recovered.specs, (recovered.epoch, recovered.last_lsn)
+        )
         with self._lock:
             self._databases = databases
         if recovered.fenced_by is not None:
@@ -263,6 +283,13 @@ class CQAService:
 
     # -- database registry --------------------------------------------
 
+    def _key(self, lsn: Optional[int] = None) -> Tuple[int, int]:
+        """The version key of a change just logged at *lsn* (see
+        :mod:`repro.dispatch.resident`); a counter without a store."""
+        if self.store is None:
+            return (0, next(self._counter))
+        return (self.store.epoch, lsn)
+
     def register_db(self, name: str, spec: Dict[str, object]) -> Handled:
         gate = self._not_ready() or self._not_primary()
         if gate is not None:
@@ -282,12 +309,15 @@ class CQAService:
             "constraints": len(constraints),
         }
         with self._lock:
+            lsn = None
             if self.store is not None:
                 try:
-                    body["lsn"] = self.store.append_put_db(name, spec)
+                    lsn = body["lsn"] = self.store.append_put_db(name, spec)
                 except StoreWriteError as exc:
                     return self._store_unavailable(exc)
-            self._databases[name] = (db, constraints)
+            self._databases[name] = TenantVersion(
+                name, db, constraints, self._key(lsn)
+            )
         add("serve.db_registered")
         return 200, body, _NO_HEADERS
 
@@ -307,11 +337,14 @@ class CQAService:
         preload that could not be made durable must not look loaded.
         """
         with self._lock:
+            lsn = None
             if self.store is not None:
-                self.store.append_put_db(
+                lsn = self.store.append_put_db(
                     name, spec_of_instance(db, constraint_spec)
                 )
-            self._databases[name] = (db, tuple(constraints))
+            self._databases[name] = TenantVersion(
+                name, db, constraints, self._key(lsn)
+            )
         add("serve.db_registered")
 
     def remove_db(self, name: str) -> Handled:
@@ -367,7 +400,7 @@ class CQAService:
                     {"error": f"no database {name!r}"},
                     _NO_HEADERS,
                 )
-            db, constraints = found
+            db = found.db
             try:
                 for relation, values in deletes + inserts:
                     schema_rel = db.schema.relations.get(relation)
@@ -380,21 +413,26 @@ class CQAService:
                             f"relation {relation!r} needs "
                             f"{len(schema_rel.attributes)} values"
                         )
-                new_db = db.delete(
-                    fact(rel, *values) for rel, values in deletes
-                ).insert(fact(rel, *values) for rel, values in inserts)
+                new_db, delta = derive(
+                    db,
+                    [fact(rel, *values) for rel, values in deletes],
+                    [fact(rel, *values) for rel, values in inserts],
+                )
             except ReproError as exc:
                 return self._bad_request(str(exc))
+            lsn = None
             if self.store is not None:
                 try:
-                    body["lsn"] = self.store.append_mutate(
+                    lsn = body["lsn"] = self.store.append_mutate(
                         name,
                         insert=[[r, *v] for r, v in inserts],
                         delete=[[r, *v] for r, v in deletes],
                     )
                 except StoreWriteError as exc:
                     return self._store_unavailable(exc)
-            self._databases[name] = (new_db, constraints)
+            self._databases[name] = found.advance(
+                new_db, delta, self._key(lsn)
+            )
         add("serve.mutations")
         live_add("serve.mutations")
         body.update(
@@ -428,10 +466,11 @@ class CQAService:
     def list_dbs(self) -> Handled:
         with self._lock:
             listing = {
-                name: {"facts": len(db), "constraints": len(constraints)}
-                for name, (db, constraints) in sorted(
-                    self._databases.items()
-                )
+                name: {
+                    "facts": len(version.db),
+                    "constraints": len(version.constraints),
+                }
+                for name, version in sorted(self._databases.items())
             }
         return 200, {"databases": listing}, _NO_HEADERS
 
@@ -439,9 +478,10 @@ class CQAService:
         self,
         payload: Dict[str, object],
         view: Optional[Dict[str, object]] = None,
-    ) -> Tuple[Database, Sequence]:
-        """The instance a request addresses: a registered name or an
-        inline definition (one-shot, nothing persisted).
+    ) -> Tuple[Database, Sequence, Optional[TenantVersion]]:
+        """The instance a request addresses: a registered name (at its
+        current version, which is returned too) or an inline definition
+        (one-shot, nothing persisted, no version).
 
         When a *view* doc is passed, the store's ``last_lsn`` is
         captured into it under the same lock that snapshots the
@@ -457,13 +497,14 @@ class CQAService:
                     view["as_of_lsn"] = self.store.last_lsn
             if found is None:
                 raise PayloadError(f"no database {name!r} is registered")
-            return found
+            return found.db, found.constraints, found
         if "relations" in payload:
             if view is not None and self.store is not None:
                 view["as_of_lsn"] = self.store.last_lsn
             return (
                 _parse_database(payload),
                 tuple(_parse_constraints(payload.get("constraints"))),
+                None,
             )
         raise PayloadError("payload needs 'db' or inline 'relations'")
 
@@ -688,7 +729,7 @@ class CQAService:
         rid: str,
         view: Optional[Dict[str, object]] = None,
     ) -> Handled:
-        db, constraints = self._resolve_instance(payload, view)
+        db, constraints, tenant = self._resolve_instance(payload, view)
         query_text = payload.get("query")
         if not isinstance(query_text, str):
             raise PayloadError("payload needs a 'query' string")
@@ -700,7 +741,7 @@ class CQAService:
         started = self._clock()
         request = CQARequest(db, tuple(constraints), query, semantics)
         degraded_reason = None
-        if self._should_degrade():
+        if self._should_degrade(request):
             answer = self._certain_core(request)
             if answer is not None:
                 degraded_reason = "pool-saturated"
@@ -711,6 +752,7 @@ class CQAService:
                 query,
                 semantics=semantics,
                 budget=Budget(timeout=timeout_s),
+                tenant=tenant,
             )
             answers, complete = result.answers, result.complete
             engine = result.provenance.engine
@@ -743,15 +785,15 @@ class CQAService:
             rid, started, outcome, (200, body, _NO_HEADERS)
         )
 
-    def _should_degrade(self) -> bool:
+    def _should_degrade(self, request: CQARequest) -> bool:
         """Degrade rather than queue when the pool has no idle worker
-        (only meaningful when isolation is actually pool-backed)."""
+        and the rung the ladder would try first runs on it; a request
+        whose ladder starts in process is served exactly as ever."""
         pool = self.pool
-        return (
-            pool is not None
-            and bool(self.dispatcher.policy.isolate)
-            and pool.idle_count() == 0
-        )
+        if pool is None or pool.idle_count() != 0:
+            return False
+        rung = self.dispatcher.first_rung(request)
+        return rung is not None and self.dispatcher.uses_pool(rung)
 
     def _certain_core(self, request: CQARequest):
         """The anytime bracket, or None if it cannot serve this request
@@ -770,7 +812,7 @@ class CQAService:
         rid: str,
         view: Optional[Dict[str, object]] = None,
     ) -> Handled:
-        db, constraints = self._resolve_instance(payload, view)
+        db, constraints, _ = self._resolve_instance(payload, view)
         semantics = str(payload.get("semantics", "s"))
         limit = payload.get("limit")
         if limit is not None and (
@@ -857,12 +899,11 @@ class CQAService:
     def _apply_to_registry(self, record: Dict[str, object]) -> None:
         op = record.get("op")
         name = record.get("db")
+        key = (int(record.get("epoch") or 0), int(record["lsn"]))
         if op == "put_db":
-            spec = record["spec"]
-            self._databases[name] = (
-                _parse_database(spec),
-                tuple(_parse_constraints(spec.get("constraints"))),
-            )
+            self._databases[name] = _versions_of(
+                {name: record["spec"]}, key
+            )[name]
         elif op == "del_db":
             self._databases.pop(name, None)
         elif op == "mutate":
@@ -872,13 +913,12 @@ class CQAService:
                     f"replicated mutate against unknown database "
                     f"{name!r} (registry diverged from store)"
                 )
-            db, constraints = found
-            deletes = record.get("delete") or []
-            inserts = record.get("insert") or []
-            new_db = db.delete(
-                fact(entry[0], *entry[1:]) for entry in deletes
-            ).insert(fact(entry[0], *entry[1:]) for entry in inserts)
-            self._databases[name] = (new_db, constraints)
+            new_db, delta = derive(
+                found.db,
+                [fact(e[0], *e[1:]) for e in record.get("delete") or []],
+                [fact(e[0], *e[1:]) for e in record.get("insert") or []],
+            )
+            self._databases[name] = found.advance(new_db, delta, key)
         elif op == "epoch":
             pass
         else:
@@ -893,14 +933,32 @@ class CQAService:
         specs = bootstrap.get("databases") or {}
         lsn = int(bootstrap.get("lsn") or 0)
         epoch = int(bootstrap.get("epoch") or 0)
-        databases: Dict[str, Tuple[Database, tuple]] = {}
-        for name, spec in specs.items():
-            databases[name] = (
-                _parse_database(spec),
-                tuple(_parse_constraints(spec.get("constraints"))),
-            )
+        # Every tenant gets a version keyed by the bootstrap's (epoch,
+        # lsn).  One that kept its schema and constraints reaches it by
+        # one delta, the facts that differ (usually the few records
+        # compaction folded before this caught-up follower pulled
+        # them), so its workers catch up by that delta, never by
+        # extending a pre-bootstrap version; any other starts over.
+        key = (epoch, lsn)
+        databases = _versions_of(specs, key)
         with self._lock:
             self.store.install_state(specs, lsn, epoch)
+            for name, version in databases.items():
+                current = self._databases.get(name)
+                if (
+                    current is not None
+                    and current.constraints == version.constraints
+                    and current.db.schema == version.db.schema
+                ):
+                    old, new = current.db, version.db
+                    databases[name] = current.advance(
+                        *derive(
+                            old,
+                            [f for f in old if f not in new],
+                            [f for f in new if f not in old],
+                        ),
+                        key,
+                    )
             self._databases = databases
 
     def handle_replica_pull(
@@ -1182,8 +1240,7 @@ class CQAService:
             found = self._databases.get(name)
         if found is None:
             return 404, {"error": f"no database {name!r}"}, _NO_HEADERS
-        db, constraints = found
-        report = InconsistencyReport.of(db, constraints)
+        report = InconsistencyReport.of(found.db, found.constraints)
         ratio = report.violation_ratio
         return (
             200,

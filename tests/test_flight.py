@@ -431,8 +431,15 @@ class TestDispatcherIntegration:
                     scenario.constraints,
                     scenario.queries["Q1"],
                 )
+            # An equal instance parsed afresh (a repeated inline
+            # payload) is the same (db, constraints).
+            copy = employee()
+            assert copy.db is not scenario.db
+            dispatcher.dispatch(
+                copy.db, copy.constraints, copy.queries["Q1"]
+            )
         assert calls["n"] == 1
-        assert len(dispatcher._shape_cache) == 1
+        assert dispatcher._inline[0] is scenario.db  # one remembered
 
     def test_shape_stats_memoized_on_hypergraph(self):
         scenario = employee()
@@ -445,13 +452,24 @@ class TestDispatcherIntegration:
         assert second["edges"] != -99
         assert second == graph.shape_stats()
 
-    def test_no_stats_computed_when_nothing_observes(self):
+    def test_no_stats_computed_when_nothing_observes(self, monkeypatch):
+        calls = {"n": 0}
+        real_build = ConflictHypergraph.build
+
+        def counting_build(db, constraints):
+            calls["n"] += 1
+            return real_build(db, constraints)
+
+        monkeypatch.setattr(
+            ConflictHypergraph, "build", staticmethod(counting_build)
+        )
         scenario = employee()
         dispatcher = Dispatcher()
         dispatcher.dispatch(
             scenario.db, scenario.constraints, scenario.queries["Q1"]
         )
-        assert dispatcher._shape_cache == {}
+        assert calls["n"] == 0
+        assert dispatcher._inline is None
 
     def test_shadow_sampled_recorded_per_draw(self):
         scenario = employee()

@@ -25,6 +25,7 @@ from repro.dispatch import (
 from repro.dispatch import worker as worker_mod
 from repro.dispatch.worker import (
     WorkerCrashError,
+    WorkerError,
     WorkerTimeoutError,
     read_frame,
     serve_loop,
@@ -236,6 +237,69 @@ class TestWorkerPool:
         finally:
             pool.drain()
 
+    def test_planned_recycles_never_empty_the_pool(self):
+        # Two workers handed jobs in turn reach max_requests one job
+        # apart; each keeps serving until its replacement is warm.
+        pool = WorkerPool(PoolConfig(size=2, max_requests=3)).start()
+        try:
+            request, ref = _request()
+            with collect() as collector:
+                for _ in range(20):
+                    answer = pool.run_engine(
+                        "fm-sql", request, watchdog_s=30.0
+                    )
+                    assert answer.answers == ref
+                    assert pool.idle_count() > 0
+                assert collector.counter("pool.saturated") == 0
+            assert pool.wait_ready(timeout_s=30.0)
+            stats = pool.stats()
+            assert stats["recycle_reasons"].get("max-requests", 0) >= 2
+            assert len(stats["pids"]) == 2
+        finally:
+            pool.drain()
+
+    @pytest.mark.parametrize("spawn_fails", [False, True])
+    def test_retiring_worker_that_crashes_is_replaced_once(
+        self, spawn_fails
+    ):
+        # A worker crashes while its planned replacement is spawning:
+        # the pool must come back to exactly its size, whether that
+        # replacement is admitted or fails and has to be backfilled.
+        pool = WorkerPool(PoolConfig(size=2, max_requests=1)).start()
+        gate = threading.Event()
+        spawn_warm = pool._spawn_warm  # noqa: SLF001
+        first = [True]
+
+        def gated_spawn():
+            gate.wait(30.0)
+            if spawn_fails and first[0]:
+                first[0] = False
+                raise WorkerError("replacement failed to start")
+            return spawn_warm()
+
+        pool._spawn_warm = gated_spawn  # noqa: SLF001
+        try:
+            request, ref = _request()
+            hostage = pool._idle.get()  # noqa: SLF001 — pin the other one
+            try:
+                answer = pool.run_engine("fm-sql", request, watchdog_s=30.0)
+                assert answer.answers == ref  # its worker is now retiring
+                with pytest.raises(WorkerCrashError):
+                    pool.run_engine(
+                        "fm-sql", request, watchdog_s=30.0, crash_code=3
+                    )
+            finally:
+                pool._idle.put(hostage)  # noqa: SLF001
+            gate.set()
+            assert pool.wait_ready(timeout_s=30.0)
+            stats = pool.stats()
+            assert len(stats["pids"]) == 2
+            assert stats["recycles"] == 1
+            assert stats["spawns"] == 3
+        finally:
+            gate.set()
+            pool.drain()
+
     def test_recycled_when_rss_exceeds_cap(self):
         # Any real worker's RSS exceeds 1 KiB, so the first check-in
         # must retire it — and the answer must still come back first.
@@ -444,3 +508,170 @@ class TestPoolConcurrency:
             assert results  # at least the first two grabs succeed
         finally:
             pool.drain()
+
+
+# ----------------------------------------------------------------------
+# Resident tenants: full instance once, then deltas
+# ----------------------------------------------------------------------
+
+
+def _tenant_version():
+    from repro.dispatch.resident import TenantVersion
+
+    scenario = employee()
+    return TenantVersion(
+        "emp", scenario.db, scenario.constraints, (0, 1)
+    ), scenario
+
+
+def _resident_request(version, scenario, query="Q2"):
+    return CQARequest(
+        version.db,
+        version.constraints,
+        scenario.queries[query],
+        tenant=version,
+    )
+
+
+class TestResidentTenants:
+    def _advance(self, version, insert=(), delete=(), key=None):
+        from repro.dispatch.resident import derive
+
+        db, delta = derive(version.db, delete, insert)
+        return version.advance(db, delta, key or (0, version.key[1] + 1))
+
+    def test_deltas_after_one_full_ship(self):
+        from repro.relational import fact
+
+        pool = WorkerPool(PoolConfig(size=1)).start()
+        try:
+            version, scenario = _tenant_version()
+            for step in range(4):
+                request = _resident_request(version, scenario)
+                answer = pool.run_engine("fm-sql", request, watchdog_s=30.0)
+                assert answer.answers == consistent_answers(
+                    version.db, version.constraints, request.query
+                )
+                version = self._advance(
+                    version, insert=[fact("Employee", f"n{step}", "1K")]
+                )
+            assert pool.stats()["resident"] == {
+                "hits": 3, "misses": 1, "delta_records": 3,
+            }
+        finally:
+            pool.drain()
+
+    def test_worker_miss_resends_the_full_instance(self):
+        from repro.relational import fact
+
+        pool = WorkerPool(PoolConfig(size=1)).start()
+        try:
+            version, scenario = _tenant_version()
+            pool.run_engine(
+                "fm-sql", _resident_request(version, scenario),
+                watchdog_s=30.0,
+            )
+            # The pool believes the worker holds a version it does not:
+            # the worker answers resident-miss and gets the full copy.
+            version = self._advance(
+                version, insert=[fact("Employee", "zed", "9K")]
+            )
+            newer = self._advance(
+                version, insert=[fact("Employee", "zed", "1K")]
+            )
+            (worker,) = pool._workers  # noqa: SLF001
+            worker.resident["emp"] = version.key
+            request = _resident_request(newer, scenario)
+            answer = pool.run_engine("fm-sql", request, watchdog_s=30.0)
+            assert answer.answers == consistent_answers(
+                newer.db, newer.constraints, request.query
+            )
+            assert worker.resident["emp"] == newer.key
+            assert pool.stats()["resident"]["misses"] == 2
+        finally:
+            pool.drain()
+
+    def test_evicted_tenant_is_reshipped_in_full(self, monkeypatch):
+        from repro.dispatch import resident as resident_mod
+        from repro.dispatch.resident import TenantVersion
+        from repro.dispatch.worker import _execute_job
+        from repro.relational import fact
+
+        class InProcessWorker:
+            """Runs jobs through the worker's own code in this process,
+            so the patched memory bound applies to it."""
+
+            pid, worker_id, served, rss_kb = os.getpid(), 0, 0, 0
+            retiring = replaced = False
+
+            class proc:
+                @staticmethod
+                def poll():
+                    return None
+
+            def __init__(self):
+                self.resident = {}
+                self.residents = resident_mod.ResidentSet()
+                self.calls = 0
+
+            def call(self, job, deadline_s):
+                self.calls += 1
+                job = pickle.loads(pickle.dumps(job))
+                return _execute_job(job, self.residents)
+
+        # Each tenant is charged at least RESIDENT_TENANT_FLOOR facts,
+        # so a worker holds one of two tenants at a time.
+        monkeypatch.setattr(
+            resident_mod,
+            "RESIDENT_FACTS_LIMIT",
+            resident_mod.RESIDENT_TENANT_FLOOR + 1,
+        )
+        pool = WorkerPool(PoolConfig(size=1))
+        worker = InProcessWorker()
+        pool._admit(worker)  # noqa: SLF001
+        scenario = employee()
+        a = TenantVersion("a", scenario.db, scenario.constraints, (0, 1))
+        b = TenantVersion("b", scenario.db, scenario.constraints, (0, 1))
+        for version in (a, b):
+            pool.run_engine(
+                "fm-sql", _resident_request(version, scenario),
+                watchdog_s=30.0,
+            )
+        assert worker.resident == {"b": (0, 1)}  # "a" was evicted
+        a = self._advance(a, insert=[fact("Employee", "zed", "9K")])
+        request = _resident_request(a, scenario)
+        answer = pool.run_engine("fm-sql", request, watchdog_s=30.0)
+        assert answer.answers == consistent_answers(
+            a.db, a.constraints, request.query
+        )
+        # Shipped in full at once: no delta job, no resident-miss.
+        assert worker.calls == 3
+        assert pool.stats()["resident"] == {
+            "hits": 0, "misses": 3, "delta_records": 0,
+        }
+        assert worker.resident == {"a": a.key}
+
+    def test_delta_frame_without_base_is_a_structured_miss(self):
+        from repro.dispatch.worker import build_job, child_main
+
+        version, scenario = _tenant_version()
+        job = build_job("fm-sql", _resident_request(version, scenario))
+        job["request"] = job["request"].__class__(
+            None, version.constraints, job["request"].query
+        )
+        job["resident"] = {
+            "tenant": "never-shipped", "key": (0, 9), "base": (0, 8),
+            "deltas": [],
+        }
+        out = io.BytesIO()
+        assert child_main(io.BytesIO(pickle.dumps(job)), out) == 0
+        result = pickle.loads(out.getvalue())
+        assert not result["ok"] and result["kind"] == "resident-miss"
+
+    def test_tenant_never_crosses_the_process_boundary(self):
+        from repro.dispatch.worker import build_job
+
+        version, scenario = _tenant_version()
+        job = build_job("fm-sql", _resident_request(version, scenario))
+        assert job["request"].tenant is None
+        pickle.dumps(job)  # the version's locks would not pickle

@@ -399,6 +399,32 @@ class TestDegradeOnSaturation:
         assert body["answers"] == CERTAIN_NAMES
 
 
+    def test_no_degrade_when_the_first_rung_runs_in_process(self):
+        # A denial-constraint tenant never reaches fm-sql (the pooled
+        # rung): its ladder starts in process, so a saturated pool must
+        # not cost it completeness.
+        svc = CQAService(
+            policy=DispatchPolicy(isolate=("fm-sql",)),
+            pool=_SaturatedPool(),
+        )
+        svc.register_db("dc", {
+            "relations": {
+                "P": {"columns": ["X", "Y"],
+                      "rows": [["a", "1"], ["b", "2"], ["c", "3"]]},
+                "N": {"columns": ["X"], "rows": [["b"]]},
+            },
+            "constraints": {"dc": [":- P(X, Y), N(X)"]},
+        })
+        status, body, _ = svc.handle_cqa(
+            {"db": "dc", "query": "Q(X) :- P(X, Y)"}
+        )
+        assert status == 200
+        assert body["complete"] and body["outcome"] == "ok"
+        assert body["engine"] != "certain-core"
+        assert "degraded_reason" not in body
+        assert body["answers"] == [["a"], ["c"]]
+
+
 # ----------------------------------------------------------------------
 # Load-generator response classification
 # ----------------------------------------------------------------------
